@@ -8,6 +8,9 @@ the cache makes the full suite affordable.
 
 from __future__ import annotations
 
+import time
+from typing import Callable
+
 import pytest
 
 from repro.experiments.common import RunCache
@@ -31,3 +34,23 @@ def assert_and_report(result):
         + result.summary()
     )
     return result
+
+
+def interleaved_min_times(
+    *fns: Callable[[], object], repeats: int = 5
+) -> list[float]:
+    """Fastest wall time of each callable over ``repeats`` rounds.
+
+    The callables run in turn within every round (a, b, a, b, ...),
+    so a slow spell of a shared host falls on all of them alike, and
+    each keeps its fastest run: other load only ever slows a run down.
+    Speed-ratio gates compare these minima instead of one sample a
+    side.
+    """
+    best = [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best

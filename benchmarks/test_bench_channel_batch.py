@@ -12,6 +12,7 @@ import os
 import time
 
 import numpy as np
+from conftest import interleaved_min_times
 
 from repro.experiments.common import RunCache
 from repro.phy.chipchannel import transmit_chipwords_batch
@@ -51,21 +52,20 @@ def test_bench_fused_chip_channel(benchmark):
 
     fused = benchmark(transmit_chipwords_batch, *flat)
 
-    t0 = time.perf_counter()
-    unfused = np.concatenate(
-        [
-            transmit_chipwords_batch(w, p, [w.size], k[None, :])
-            for w, p, k in per_pair
-        ]
-    )
-    per_pair_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    again = transmit_chipwords_batch(*flat)
-    fused_s = time.perf_counter() - t0
+    def per_pair_calls():
+        return np.concatenate(
+            [
+                transmit_chipwords_batch(w, p, [w.size], k[None, :])
+                for w, p, k in per_pair
+            ]
+        )
 
-    assert np.array_equal(fused, unfused)
-    assert np.array_equal(fused, again)
+    assert np.array_equal(fused, per_pair_calls())
+    assert np.array_equal(fused, transmit_chipwords_batch(*flat))
     if benchmark.enabled:
+        per_pair_s, fused_s = interleaved_min_times(
+            per_pair_calls, lambda: transmit_chipwords_batch(*flat)
+        )
         speedup = per_pair_s / fused_s
         assert speedup >= 1.5, (
             f"fused transit only {speedup:.1f}x faster than per-pair "

@@ -11,6 +11,7 @@ read is one gunzip + buffer reslice).
 import time
 
 import numpy as np
+from conftest import interleaved_min_times
 
 from repro.experiments.common import RunCache, _simulate_config
 from repro.store import RunStore
@@ -27,9 +28,7 @@ def _store_point():
 def test_bench_store_warm_hit(benchmark, tmp_path):
     """Warm store hit vs simulating the same point (>= 20x gate)."""
     config = _store_point()
-    start = time.perf_counter()
     result = _simulate_config(config)
-    simulate_s = time.perf_counter() - start
     store = RunStore(tmp_path)
     store.put(config, result)
 
@@ -42,13 +41,14 @@ def test_bench_store_warm_hit(benchmark, tmp_path):
         for a, b in zip(loaded.records, result.records, strict=True)
     )
 
-    start = time.perf_counter()
-    warm = store.get(config)
-    warm_s = time.perf_counter() - start
-    assert warm is not None
     if benchmark.enabled:
         # Wall-clock gates only when actually benchmarking; under
         # --benchmark-disable (CI) a contended runner would flake.
+        warm_s, simulate_s = interleaved_min_times(
+            lambda: store.get(config),
+            lambda: _simulate_config(config),
+            repeats=3,
+        )
         advantage = simulate_s / warm_s
         assert advantage >= 20.0, (
             f"warm store hit only {advantage:.1f}x cheaper than "

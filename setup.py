@@ -33,4 +33,7 @@ setup(
     version=_read_version(),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # numpy 2 for np.bitwise_count; scipy for the FFT correlator and
+    # the chip-error closed forms
+    install_requires=["numpy>=2", "scipy"],
 )

@@ -31,6 +31,7 @@ counter-based streams of :mod:`repro.utils.rng`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,15 @@ from repro.utils.crc import CRC32_IEEE
 
 _CRC_BYTES = 4
 _FIELDS = ("gf2", "gf256")
+
+
+@functools.lru_cache(maxsize=64)
+def _coefficients(field: str, seed: int, k: int, r: int) -> np.ndarray:
+    """The keyed ``(r, k)`` coefficient matrix, derived once per key."""
+    make = gf2_coefficients if field == "gf2" else gf256_coefficients
+    coeffs = make(seed, "rlnc-coeffs", k, r, shape=(r, k))
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -138,16 +148,13 @@ class SegmentedRlncCodec:
     # -- layout --------------------------------------------------------------
 
     def coefficients(self) -> np.ndarray:
-        """The keyed ``(r, k)`` coefficient matrix of this codec."""
-        make = (
-            gf2_coefficients if self.field == "gf2" else gf256_coefficients
-        )
-        return make(
-            self.seed,
-            "rlnc-coeffs",
-            self.n_segments,
-            self.n_repair,
-            shape=(self.n_repair, self.n_segments),
+        """The keyed ``(r, k)`` coefficient matrix of this codec.
+
+        Shared and read-only: every codec with the same parameters
+        returns the same cached array.
+        """
+        return _coefficients(
+            self.field, self.seed, self.n_segments, self.n_repair
         )
 
     def segment_sizes(self, payload_len: int) -> list[int]:

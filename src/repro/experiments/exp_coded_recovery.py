@@ -28,6 +28,8 @@ Expectations under test:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.analysis.textplot import format_table
@@ -41,6 +43,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.registry import register
 from repro.link.schemes import (
+    DeliveryScheme,
     FragmentedCrcScheme,
     PacketCrcScheme,
     PprScheme,
@@ -89,6 +92,22 @@ def _incorrect_bits(evaluation: SchemeEvaluation) -> int:
     )
 
 
+class _Summary(NamedTuple):
+    """What the tables read from one scheme's evaluation of one point."""
+
+    rate: float
+    goodput_kbps: float
+    incorrect_bits: int
+
+
+def _summarize(evaluation: SchemeEvaluation) -> _Summary:
+    return _Summary(
+        _mean_rate(evaluation),
+        evaluation.aggregate_throughput_kbps(),
+        _incorrect_bits(evaluation),
+    )
+
+
 @register(
     "coded_recovery",
     title="Coded partial recovery in very noisy channels (S-PRAC)",
@@ -105,63 +124,37 @@ def _incorrect_bits(evaluation: SchemeEvaluation) -> int:
 )
 def run(cache: RunCache) -> ExperimentOutput:
     """Evaluate the four contenders across the declared grid."""
-    # The (segments, eta) axes ride on the same traces, so evaluate
-    # each (config, scheme-parameter) pair once and assemble the grid
-    # from the memo instead of re-walking the records per scenario.
-    frag_memo: dict[tuple, tuple[float, float]] = {}  # frag, sprac
-    ppr_memo: dict[tuple, tuple[float, int]] = {}  # rate, bad bits
-    packet_memo: dict[tuple, float] = {}
-    goodput_memo: dict[tuple, tuple[float, float]] = {}
-    for scenario, result in _SWEEP.run(cache):
-        config = result.config
-        noise = config.noise_floor_dbm
-        seed = config.seed
-        k = scenario.param("segments")
-        eta = scenario.param("eta")
-        if (noise, seed) not in packet_memo:
-            (evaluation,) = evaluate_schemes(
-                result, [PacketCrcScheme()], postamble_options=(True,)
-            )
-            packet_memo[(noise, seed)] = _mean_rate(evaluation)
-        if (noise, seed, k) not in frag_memo:
-            frag_eval, sprac_eval = evaluate_schemes(
-                result,
-                [
-                    FragmentedCrcScheme(n_fragments=k),
-                    SpracScheme(n_segments=k, n_repair=k // 2),
-                ],
-                postamble_options=(True,),
-            )
-            frag_memo[(noise, seed, k)] = (
-                _mean_rate(frag_eval),
-                _mean_rate(sprac_eval),
-            )
-            goodput_memo[(noise, seed, k)] = (
-                frag_eval.aggregate_throughput_kbps(),
-                sprac_eval.aggregate_throughput_kbps(),
-            )
-        if (noise, seed, eta) not in ppr_memo:
-            (ppr_eval,) = evaluate_schemes(
-                result, [PprScheme(eta=eta)], postamble_options=(True,)
-            )
-            ppr_memo[(noise, seed, eta)] = (
-                _mean_rate(ppr_eval),
-                _incorrect_bits(ppr_eval),
-            )
+    # The (segments, eta) axes ride on the same traces: evaluate every
+    # scheme parameter once per (noise, seed) point and assemble the
+    # grid from the summaries.
+    packet = PacketCrcScheme()
+    frag = {k: FragmentedCrcScheme(n_fragments=k) for k in SEGMENTS}
+    sprac = {k: SpracScheme(n_segments=k, n_repair=k // 2) for k in SEGMENTS}
+    ppr = {eta: PprScheme(eta=eta) for eta in ETAS}
+    schemes = [packet, *frag.values(), *sprac.values(), *ppr.values()]
+    summaries: dict[tuple[float, int], dict[DeliveryScheme, _Summary]] = {}
+    for _scenario, result in _SWEEP.run(cache):
+        point = (result.config.noise_floor_dbm, result.config.seed)
+        if point not in summaries:
+            summaries[point] = {
+                e.scheme: _summarize(e)
+                for e in evaluate_schemes(
+                    result, schemes, postamble_options=(True,)
+                )
+            }
 
     rows = []
     cell_stats: dict[str, dict[str, float]] = {}
     for noise in NOISE_FLOORS:
         for k in SEGMENTS:
-            frags = [frag_memo[(noise, s, k)][0] for s in SEEDS]
-            spracs = [frag_memo[(noise, s, k)][1] for s in SEEDS]
+            points = [summaries[(noise, s)] for s in SEEDS]
+            frags = [e[frag[k]].rate for e in points]
+            spracs = [e[sprac[k]].rate for e in points]
             gaps = [b - a for a, b in zip(frags, spracs, strict=True)]
             frag_mean, frag_hw = _mean_ci(frags)
             sprac_mean, sprac_hw = _mean_ci(spracs)
             gap_mean, gap_hw = _mean_ci(gaps)
-            packet_mean, _ = _mean_ci(
-                [packet_memo[(noise, s)] for s in SEEDS]
-            )
+            packet_mean, _ = _mean_ci([e[packet].rate for e in points])
             cell_stats[f"{noise}dBm-k{k}"] = {
                 "packet_crc_mean": packet_mean,
                 "frag_mean": frag_mean,
@@ -172,14 +165,10 @@ def run(cache: RunCache) -> ExperimentOutput:
                 "gap_ci": gap_hw,
                 "gap_min": float(min(gaps)),
                 "goodput_frag_kbps": float(
-                    np.mean(
-                        [goodput_memo[(noise, s, k)][0] for s in SEEDS]
-                    )
+                    np.mean([e[frag[k]].goodput_kbps for e in points])
                 ),
                 "goodput_sprac_kbps": float(
-                    np.mean(
-                        [goodput_memo[(noise, s, k)][1] for s in SEEDS]
-                    )
+                    np.mean([e[sprac[k]].goodput_kbps for e in points])
                 ),
             }
             rows.append(
@@ -212,8 +201,8 @@ def run(cache: RunCache) -> ExperimentOutput:
     ppr_stats: dict[str, dict[str, float]] = {}
     for noise in NOISE_FLOORS:
         for eta in ETAS:
-            rates = [ppr_memo[(noise, s, eta)][0] for s in SEEDS]
-            bad = [ppr_memo[(noise, s, eta)][1] for s in SEEDS]
+            rates = [summaries[(noise, s)][ppr[eta]].rate for s in SEEDS]
+            bad = [summaries[(noise, s)][ppr[eta]].incorrect_bits for s in SEEDS]
             rate_mean, rate_hw = _mean_ci(rates)
             ppr_stats[f"{noise}dBm-eta{eta:g}"] = {
                 "rate_mean": rate_mean,

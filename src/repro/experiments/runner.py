@@ -68,6 +68,7 @@ from repro.experiments.common import (
     ExperimentResult,
     RunCache,
 )
+from repro.sim.metrics import clear_recovery_memo
 from repro.store import RunStore, StoreCounters
 
 #: exit code for "an experiment failed to execute" (vs 1 = shape check)
@@ -163,6 +164,9 @@ def run_experiments(
     repaired rerun resumes warm.
     """
     specs = [registry.get_spec(name) for name in names]
+    # each run pays for its own S-PRAC eliminations, whatever the
+    # process evaluated before
+    clear_recovery_memo()
     cache = RunCache(
         duration_s=duration_s,
         seed=seed,

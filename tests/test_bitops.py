@@ -111,6 +111,22 @@ class TestPopcount:
         words = np.array([[1, 3], [7, 15]], dtype=np.uint32)
         assert popcount32(words).tolist() == [[1, 2], [3, 4]]
 
+    def test_matches_bitwise_count(self, rng):
+        """Pinned to ``np.bitwise_count`` (numpy >= 2), a drop-in for
+        the byte table on 0, all-ones and random words."""
+        words = np.concatenate(
+            [
+                np.array([0, 0xFFFFFFFF], dtype=np.uint32),
+                rng.integers(0, 2**32, size=(1000,), dtype=np.uint64).astype(
+                    np.uint32
+                ),
+            ]
+        ).reshape(2, -1)
+        got = popcount32(words)
+        assert got.dtype == np.int64
+        assert got.shape == words.shape
+        assert np.array_equal(got, np.bitwise_count(words).astype(np.int64))
+
 
 class TestBitStream:
     def test_write_read_sequence(self):

@@ -13,7 +13,7 @@ where tie-breaking and unreachable trellis states matter.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -33,6 +33,15 @@ from repro.coding.gf256 import (
     gf256_eliminate_reference,
     gf256_encode,
     gf256_encode_reference,
+)
+from repro.coding.rlnc import SegmentedRlncCodec
+from repro.link.quality import LinkObservation
+from repro.link.schemes import (
+    FragmentedCrcScheme,
+    PacketCrcScheme,
+    PprScheme,
+    SicScheme,
+    SpracScheme,
 )
 from repro.phy.batch import (
     BatchReceptionEngine,
@@ -54,7 +63,18 @@ from repro.phy.remodulate import (
     remodulate_frame_reference,
 )
 from repro.phy.sync import CorrelationSynchronizer, sync_field_symbols
-from repro.sim.network import NetworkSimulation, SimulationConfig
+from repro.sim.metrics import (
+    clear_recovery_memo,
+    evaluate_schemes,
+    evaluate_schemes_reference,
+)
+from repro.sim.network import (
+    NetworkSimulation,
+    ReceptionRecord,
+    SimulationConfig,
+    SimulationResult,
+)
+from repro.sim.testbed import single_link_testbed
 from repro.utils import sanitize
 from repro.utils.rng import ensure_rng
 
@@ -926,3 +946,298 @@ class TestGfKernelEquivalence:
         assert np.array_equal(rec, rec_ref)
         assert np.array_equal(sol, sol_ref)
         assert rec.tolist() == [False, False, True]
+
+
+_OBSERVATION_FIELDS = tuple(f.name for f in fields(LinkObservation))
+
+
+def _assert_evaluations_equal(fast, ref):
+    """Same variants, same links, every counter equal and a Python int."""
+    assert len(fast) == len(ref)
+    for a, b in zip(fast, ref, strict=True):
+        assert a.scheme is b.scheme
+        assert a.postamble_enabled == b.postamble_enabled
+        assert a.duration_s == b.duration_s
+        assert len(a.stats) == len(b.stats)
+        assert a.stats.links() == b.stats.links()
+        for link in b.stats.links():
+            for name in _OBSERVATION_FIELDS:
+                got = getattr(a.stats[link], name)
+                want = getattr(b.stats[link], name)
+                assert type(got) is int, f"{a.label} {link} {name}"
+                assert got == want, f"{a.label} {link} {name}"
+
+
+def _synthetic_record(
+    rng, length, preamble, postamble, link, error_rate, burst=None
+):
+    """A reception with ``length`` payload symbols, each wrong with
+    probability ``error_rate`` (plus an optional burst ``(start,
+    stop)`` of wrong payload symbols)."""
+    wrong = rng.random(length) < error_rate
+    if burst is not None:
+        wrong[burst[0] : burst[1]] = True
+    return _record_with_errors(rng, wrong, preamble, postamble, link)
+
+
+def _record_with_errors(rng, wrong, preamble, postamble, link):
+    """A reception whose payload symbols are wrong exactly where
+    ``wrong`` is set, between a header and a trailer with random
+    errors of their own."""
+    header, trailer = 3, 2
+    length = wrong.size
+    n = header + length + trailer
+    wrong = np.concatenate(
+        [rng.random(header) < 0.5, wrong, rng.random(trailer) < 0.5]
+    )
+    truth = rng.integers(0, 16, n).astype(np.int8)
+    symbols = np.where(
+        wrong, (truth + rng.integers(1, 16, n)) % 16, truth
+    ).astype(np.int8)
+    hints = np.where(
+        wrong, rng.integers(0, 33, n), rng.integers(0, 9, n)
+    ).astype(np.uint8)
+    return ReceptionRecord(
+        tx_id=int(rng.integers(0, 1 << 30)),
+        sender=link,
+        receiver=link + 10,
+        start=0.0,
+        preamble_detectable=preamble,
+        header_ok=preamble,
+        postamble_detectable=postamble,
+        trailer_ok=postamble,
+        acquired_preamble=preamble,
+        body_symbols=symbols,
+        body_hints=hints,
+        body_truth=truth,
+        payload_start=header,
+        payload_end=header + length,
+    )
+
+
+def _synthetic_result(records):
+    return SimulationResult(
+        config=SimulationConfig(duration_s=15.0),
+        testbed=single_link_testbed(),
+        transmissions=[],
+        records=records,
+    )
+
+
+class TestSchemeEvaluatorEquivalence:
+    """The batched ``evaluate_schemes`` vs its per-record reference.
+
+    Every ``LinkObservation`` counter must agree exactly: all of them
+    are integers, so every rate, goodput and CDF derived from them is
+    then bit-identical too.
+    """
+
+    @pytest.fixture(scope="class")
+    def quick_result(self):
+        """A quick-length (15 s) run, noisy enough for every outcome:
+        clean and corrupted frames, postamble-only acquisitions, and
+        S-PRAC segments lost, repaired and unrecoverable."""
+        config = SimulationConfig(
+            load_bits_per_s_per_node=6900.0,
+            duration_s=15.0,
+            carrier_sense=False,
+            noise_floor_dbm=-90.0,
+            seed=2007,
+        )
+        return NetworkSimulation(config).run()
+
+    def test_quick_simulation_every_scheme(self, quick_result):
+        records = quick_result.records
+        assert any(r.acquired(True) and not r.acquired(False) for r in records)
+        assert any(
+            r.acquired(True) and not r.payload_correct().all() for r in records
+        )
+        schemes = [
+            PacketCrcScheme(),
+            FragmentedCrcScheme(n_fragments=30),
+            FragmentedCrcScheme(n_fragments=7),
+            PprScheme(eta=6.0),
+            PprScheme(eta=0.0),
+            PprScheme(eta=2.5),
+            SicScheme(eta=6.0),
+            SpracScheme(n_segments=30, n_repair=15),
+            SpracScheme(n_segments=7, n_repair=5, field="gf256", seed=3),
+        ]
+        for options in ((False, True), (True,)):
+            _assert_evaluations_equal(
+                evaluate_schemes(quick_result, schemes, options),
+                evaluate_schemes_reference(quick_result, schemes, options),
+            )
+
+    def test_short_payloads_and_wrapping_repair_windows(self):
+        """Fragment and segment counts above the payload length,
+        lengths not divisible by k, and repair windows that wrap."""
+        rng = ensure_rng(7)
+        lengths = (0, 1, 2, 5, 7, 13, 29, 31, 61, 90)
+        k = 7
+        wraps = [
+            m
+            for m in lengths
+            if m
+            and any(
+                (k + j) * -(-m // k) % m + -(-m // k) > m for j in range(9)
+            )
+        ]
+        assert wraps, "no repair window wraps"
+        records = []
+        for i, length in enumerate(lengths):
+            for error_rate, burst in (
+                (0.0, None),
+                (0.0, (0, 1)),  # first symbol wrong
+                (0.0, (max(length - 1, 0), length)),  # last symbol wrong
+                (0.0, (length // 3, length // 2)),
+                (0.3, None),
+                (1.0, None),
+            ):
+                records.append(
+                    _synthetic_record(
+                        rng,
+                        length,
+                        preamble=i % 3 != 0,
+                        postamble=i % 2 == 0,
+                        link=i % 4,
+                        error_rate=error_rate,
+                        burst=burst,
+                    )
+                )
+        result = _synthetic_result(records)
+        schemes = [
+            PacketCrcScheme(),
+            FragmentedCrcScheme(n_fragments=30),
+            FragmentedCrcScheme(n_fragments=200),
+            PprScheme(eta=0.0),
+            PprScheme(eta=4.5),
+            SpracScheme(n_segments=30, n_repair=15),
+            SpracScheme(n_segments=k, n_repair=9, field="gf256", seed=1),
+            SpracScheme(n_segments=1, n_repair=1),
+        ]
+        _assert_evaluations_equal(
+            evaluate_schemes(result, schemes),
+            evaluate_schemes_reference(result, schemes),
+        )
+
+    def test_every_error_pattern_of_short_payloads(self):
+        """All 2^m error patterns of 7- and 8-symbol payloads: every
+        segment/window outcome combination, including the repair
+        windows that wrap (k=3: repair 1 covers symbols 5, 6, 0 of a
+        7-symbol payload) and decide whether segments are recovered."""
+        rng = ensure_rng(11)
+        records = [
+            _record_with_errors(
+                rng,
+                ((pattern >> np.arange(m)) & 1).astype(bool),
+                preamble=True,
+                postamble=True,
+                link=pattern % 3,
+            )
+            for m in (7, 8)
+            for pattern in range(1 << m)
+        ]
+        result = _synthetic_result(records)
+        schemes = [
+            SpracScheme(n_segments=3, n_repair=2, seed=0),
+            SpracScheme(n_segments=3, n_repair=2, field="gf256", seed=1),
+            SpracScheme(n_segments=4, n_repair=3, seed=2),
+            FragmentedCrcScheme(n_fragments=3),
+            PprScheme(eta=3.0),
+        ]
+        _assert_evaluations_equal(
+            evaluate_schemes(result, schemes, (True,)),
+            evaluate_schemes_reference(result, schemes, (True,)),
+        )
+
+    @given(
+        spec=st.lists(
+            st.tuples(
+                st.integers(0, 90),  # payload symbols
+                st.booleans(),  # acquired by preamble
+                st.booleans(),  # postamble detected, trailer intact
+                st.integers(0, 3),  # link
+                st.sampled_from((0.0, 0.02, 0.2, 0.7, 1.0)),
+            ),
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**16),
+        eta=st.sampled_from((0.0, 0.5, 3.0, 6.0, 31.5, 300.0)),
+        n_fragments=st.integers(1, 100),
+        k=st.integers(1, 12),
+        r=st.integers(1, 6),
+        field=st.sampled_from(("gf2", "gf256")),
+        options=st.sampled_from(((False, True), (True,), (False,), ())),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equivalence_property(
+        self, spec, seed, eta, n_fragments, k, r, field, options
+    ):
+        rng = ensure_rng(seed)
+        result = _synthetic_result(
+            [_synthetic_record(rng, *row) for row in spec]
+        )
+        schemes = [
+            PacketCrcScheme(),
+            FragmentedCrcScheme(n_fragments=n_fragments),
+            PprScheme(eta=eta),
+            SicScheme(eta=eta),
+            SpracScheme(n_segments=k, n_repair=r, field=field, seed=seed),
+        ]
+        _assert_evaluations_equal(
+            evaluate_schemes(result, schemes, options),
+            evaluate_schemes_reference(result, schemes, options),
+        )
+
+    def test_unknown_scheme_rejected_like_reference(self):
+        class Weird:
+            name = "weird"
+
+        rng = ensure_rng(3)
+        acquired = _synthetic_result(
+            [_synthetic_record(rng, 10, False, True, 0, 0.1)]
+        )
+        for evaluate in (evaluate_schemes, evaluate_schemes_reference):
+            with pytest.raises(TypeError, match="scheme Weird"):
+                evaluate(acquired, [PprScheme(), Weird()])
+        # a record no requested mode acquires is never handed to a
+        # scheme
+        weird = [Weird()]
+        _assert_evaluations_equal(
+            evaluate_schemes(acquired, weird, (False,)),
+            evaluate_schemes_reference(acquired, weird, (False,)),
+        )
+        missed = _synthetic_result(
+            [_synthetic_record(rng, 10, False, False, 0, 0.1)]
+        )
+        _assert_evaluations_equal(
+            evaluate_schemes(missed, weird),
+            evaluate_schemes_reference(missed, weird),
+        )
+
+    def test_recovery_mask_computed_once_per_distinct_input(
+        self, monkeypatch
+    ):
+        calls = []
+        original = SegmentedRlncCodec.recoverable_mask
+
+        def counting(codec, data_ok, repair_ok):
+            calls.append(
+                (codec.field, codec.seed, data_ok.tobytes(), repair_ok.tobytes())
+            )
+            return original(codec, data_ok, repair_ok)
+
+        monkeypatch.setattr(SegmentedRlncCodec, "recoverable_mask", counting)
+        rng = ensure_rng(5)
+        result = _synthetic_result(
+            [_synthetic_record(rng, 40, True, True, i % 2, 0.05) for i in range(60)]
+        )
+        clear_recovery_memo()
+        for _ in range(2):
+            # a new codec with the same parameters finds the memo warm
+            evaluate_schemes(result, [SpracScheme(n_segments=8, n_repair=4)])
+        assert calls and len(calls) == len(set(calls))
+        clear_recovery_memo()
+        evaluate_schemes(result, [SpracScheme(n_segments=8, n_repair=4)])
+        assert len(calls) == 2 * len(set(calls))
